@@ -10,6 +10,7 @@ use rand::SeedableRng;
 
 use crate::banded::{self, BandedOperators};
 use crate::config::{LambdaSelection, SolveStrategy};
+use crate::gcv::{gcv_statistic, select_gcv};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::solver::{ReducedOperators, SpectralPath};
 use crate::{
@@ -53,23 +54,32 @@ pub struct Deconvolver {
     equality: Option<(Matrix, Vector)>,
     /// Positivity collocation matrix with its zero right-hand side.
     positivity: Option<(Matrix, Vector)>,
-    /// Equality-nullspace-reduced design and penalty. Built only by
-    /// dense-path GCV engines — the only consumers of the reduction.
-    ops: Option<ReducedOperators>,
-    /// Factor-once spectral decomposition for unit weights (weighted fits
-    /// build their own, once per fit, reused across the whole λ path).
-    /// Only dense-path GCV engines build (or read) it.
-    spectral_unit: Option<SpectralPath>,
-    /// Banded-path operators (banded Ω, sparse positivity rows). `Some`
-    /// exactly when the engine executes fits on the Woodbury banded path
-    /// ([`crate::banded`]).
-    banded: Option<BandedOperators>,
+    /// How fits execute, with the operators only that path reads.
+    path: EnginePath,
     /// The λ grid of the configured selection, computed once.
     lambda_grid: Vec<f64>,
     /// Unit weights, kept so `sigmas: None` fits never allocate them.
     unit_weights: Vec<f64>,
     /// Worker pool for the batch entry points.
     pool: Pool,
+}
+
+/// An engine's solve path, chosen once at build time from the basis,
+/// the strategy, and the λ selection.
+#[derive(Debug, Clone)]
+enum EnginePath {
+    /// Dense GCV engines: the equality-nullspace reduction and its
+    /// factor-once spectral decomposition for unit weights (weighted fits
+    /// decompose once per fit and reuse it across the whole λ path).
+    Spectral {
+        ops: ReducedOperators,
+        unit: SpectralPath,
+    },
+    /// Dense fixed-λ and k-fold engines: one constrained QP per fit.
+    Dense,
+    /// The Woodbury banded path ([`crate::banded`]): banded Ω and sparse
+    /// positivity rows.
+    Banded(BandedOperators),
 }
 
 /// The outcome of a deconvolution fit.
@@ -101,7 +111,7 @@ struct BootScratch {
 /// Call sites sit at outer-loop boundaries (per λ-grid point, per
 /// bootstrap replicate, per constrained solve), so a fired deadline is
 /// noticed within one loop body, never mid-kernel.
-fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
+pub(crate) fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
     match cancel {
         Some(token) if token.is_cancelled() => Err(DeconvError::DeadlineExceeded),
         _ => Ok(()),
@@ -190,7 +200,8 @@ impl Deconvolver {
             SolveStrategy::Banded => true, // build() validated size + selection
             SolveStrategy::Auto => basis.is_local() && !kfold,
         };
-        let banded = if banded_exec {
+        let unit_weights = vec![1.0; forward.num_measurements()];
+        let path = if banded_exec {
             let omega_banded = basis.penalty_banded().ok_or(DeconvError::InvalidConfig(
                 "banded path needs a local basis",
             ))?;
@@ -203,26 +214,19 @@ impl Deconvolver {
                 }
                 _ => None,
             };
-            Some(BandedOperators {
+            EnginePath::Banded(BandedOperators {
                 omega: omega_banded,
                 positivity: positivity_sparse,
             })
-        } else {
-            None
-        };
-
-        let ridge = config.ridge().max(1e-12);
-        let unit_weights = vec![1.0; forward.num_measurements()];
-        // The nullspace reduction and the spectral decomposition only
-        // serve the dense GCV scan — skip the O(n³) setup everywhere
-        // else (fixed-λ engines, k-fold engines, the banded path).
-        let gcv = matches!(config.lambda(), LambdaSelection::Gcv { .. });
-        let (ops, spectral_unit) = if gcv && !banded_exec {
+        } else if matches!(config.lambda(), LambdaSelection::Gcv { .. }) {
+            // The nullspace reduction and the spectral decomposition only
+            // serve the dense GCV scan — fixed-λ and k-fold engines skip
+            // the O(n³) setup.
             let ops = ReducedOperators::new(&design, &omega, equality.as_ref().map(|(e, _)| e))?;
-            let spectral = SpectralPath::new(&ops, &unit_weights, ridge)?;
-            (Some(ops), Some(spectral))
+            let unit = SpectralPath::new(&ops, &unit_weights, config.ridge().max(1e-12))?;
+            EnginePath::Spectral { ops, unit }
         } else {
-            (None, None)
+            EnginePath::Dense
         };
         let lambda_grid = config.lambda().lambda_grid();
 
@@ -234,9 +238,7 @@ impl Deconvolver {
             omega,
             equality,
             positivity,
-            ops,
-            spectral_unit,
-            banded,
+            path,
             lambda_grid,
             unit_weights,
             pool: Pool::default(),
@@ -552,36 +554,58 @@ impl Deconvolver {
             workspace.weights.clear();
             workspace.weights.extend(s.iter().map(|s| 1.0 / s));
         }
-        let reduced = self.ops.as_ref().map_or(0, ReducedOperators::reduced_dim);
+        let reduced = match &self.path {
+            EnginePath::Spectral { ops, .. } => ops.reduced_dim(),
+            EnginePath::Dense | EnginePath::Banded(_) => 0,
+        };
         workspace.ensure(m, self.basis.len(), reduced);
 
-        if self.banded.is_some() {
-            return self.fit_banded(workspace, g, unit, lambda_override, cancel);
-        }
-
-        let (lambda, scores) = match lambda_override {
-            Some(l) => (l, Vec::new()),
-            None => match self.config.lambda() {
-                LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => self.gcv_lambda(workspace, g, unit, cancel)?,
-                LambdaSelection::KFold { folds, seed, .. } => {
-                    self.kfold_lambda(workspace, g, unit, *folds, *seed, cancel)?
-                }
-            },
+        let (lambda, scores, hint) = match (lambda_override, self.config.lambda(), &self.path) {
+            (Some(l), ..) | (None, &LambdaSelection::Fixed(l), _) => (l, Vec::new(), None),
+            (None, LambdaSelection::Gcv { .. }, EnginePath::Spectral { ops, unit: path }) => {
+                self.spectral_gcv(workspace, ops, path, g, unit, cancel)?
+            }
+            (None, LambdaSelection::Gcv { .. }, EnginePath::Banded(bops)) => {
+                let weights: &[f64] = if unit {
+                    &self.unit_weights
+                } else {
+                    &workspace.weights
+                };
+                let eq = self.equality.as_ref().map(|(e, _)| e);
+                let (lambda, scores) = select_gcv(&self.lambda_grid, cancel, |l| {
+                    let sol = banded::evaluate(
+                        &self.design,
+                        weights,
+                        g,
+                        eq,
+                        &bops.omega,
+                        l,
+                        self.ridge_eff(),
+                    )?;
+                    Ok(gcv_statistic(sol.rss, sol.edf, m as f64))
+                })?;
+                (lambda, scores, None)
+            }
+            (None, LambdaSelection::KFold { folds, seed, .. }, EnginePath::Dense) => {
+                let (lambda, scores) =
+                    self.kfold_lambda(workspace, g, unit, *folds, *seed, cancel)?;
+                (lambda, scores, None)
+            }
+            _ => {
+                return Err(DeconvError::InvalidConfig(
+                    "lambda selection does not match the engine's solve path",
+                ))
+            }
         };
 
-        // GCV fits get a deterministic warm hint for the constrained
-        // solve: the spectral path's own unconstrained minimizer at the
-        // selected λ. It is a pure function of (engine, data, λ) — never
-        // of workspace history — so batch results stay order- and
-        // thread-invariant; the QP ignores it whenever it is infeasible.
-        // A λ override never ran the sweep, so it carries no hint.
-        let hint = if lambda_override.is_some() {
-            None
-        } else {
-            self.spectral_warm_hint(workspace, unit, lambda)?
+        let alpha = match &self.path {
+            EnginePath::Banded(bops) => {
+                self.solve_banded(workspace, bops, g, unit, lambda, cancel)?
+            }
+            EnginePath::Spectral { .. } | EnginePath::Dense => {
+                self.solve_constrained_full(workspace, g, unit, lambda, hint, cancel)?
+            }
         };
-        let alpha = self.solve_constrained_full(workspace, g, unit, lambda, hint, cancel)?;
         let predicted = self.design.matvec(&alpha)?.into_vec();
         let weights: &[f64] = if unit {
             &self.unit_weights
@@ -604,78 +628,53 @@ impl Deconvolver {
         })
     }
 
-    /// The banded-path fit body: Woodbury λ selection and solve
-    /// ([`crate::banded`]), plus a dense active-set fallback for the
-    /// fits where positivity actually binds.
-    fn fit_banded(
+    /// The banded-path solve at a resolved λ: the Woodbury
+    /// equality-constrained minimizer ([`crate::banded`]), or the dense
+    /// active-set QP for the fits where positivity actually binds.
+    fn solve_banded(
         &self,
         workspace: &mut FitWorkspace,
+        bops: &BandedOperators,
         g: &[f64],
         unit: bool,
-        lambda_override: Option<f64>,
+        lambda: f64,
         cancel: Option<&CancelToken>,
-    ) -> Result<DeconvolutionResult> {
-        let bops = self.banded.as_ref().expect("caller checked");
-        // Weights are copied out of the workspace because the positivity
-        // fallback below needs the workspace mutably; m is tiny.
-        let weights: Vec<f64> = if unit {
-            self.unit_weights.clone()
+    ) -> Result<Vector> {
+        let weights: &[f64] = if unit {
+            &self.unit_weights
         } else {
-            workspace.weights.clone()
+            &workspace.weights
         };
         let eq = self.equality.as_ref().map(|(e, _)| e);
-        let ridge = self.ridge_eff();
-        let (lambda, scores) = match lambda_override {
-            Some(l) => (l, Vec::new()),
-            None => match self.config.lambda() {
-                LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => banded::gcv_lambda(
-                    &self.design,
-                    &weights,
-                    g,
-                    eq,
-                    &bops.omega,
-                    ridge,
-                    &self.lambda_grid,
-                    cancel,
-                )?,
-                LambdaSelection::KFold { .. } => {
-                    return Err(DeconvError::InvalidConfig(
-                        "banded path does not support k-fold selection",
-                    ))
-                }
-            },
-        };
-        let sol = banded::evaluate(&self.design, &weights, g, eq, &bops.omega, lambda, ridge)?;
-        let mut alpha = sol.alpha;
+        let sol = banded::evaluate(
+            &self.design,
+            weights,
+            g,
+            eq,
+            &bops.omega,
+            lambda,
+            self.ridge_eff(),
+        )?;
         if let Some((p, _)) = &bops.positivity {
-            let pa = p.matvec(&alpha)?;
-            let tol = 1e-9 * (1.0 + alpha.norm_inf());
+            let pa = p.matvec(&sol.alpha)?;
+            let tol = 1e-9 * (1.0 + sol.alpha.norm_inf());
             if pa.iter().any(|&v| v < -tol) {
                 // Positivity binds: the equality-constrained minimizer is
                 // infeasible, so it is NOT the QP optimum — solve the full
                 // active-set QP at the selected λ. (When it is feasible,
                 // convexity makes it the optimum with zero inequality
                 // multipliers, and the QP is skipped entirely.)
-                alpha =
-                    self.solve_constrained_full(workspace, g, unit, lambda, Some(alpha), cancel)?;
+                return self.solve_constrained_full(
+                    workspace,
+                    g,
+                    unit,
+                    lambda,
+                    Some(sol.alpha),
+                    cancel,
+                );
             }
         }
-        let predicted = self.design.matvec(&alpha)?.into_vec();
-        let weighted_sse: f64 = predicted
-            .iter()
-            .zip(g)
-            .zip(&weights)
-            .map(|((p, gv), w)| ((p - gv) * w).powi(2))
-            .sum();
-        Ok(DeconvolutionResult {
-            alpha,
-            basis: self.basis.clone(),
-            lambda,
-            predicted,
-            weighted_sse,
-            selection_scores: scores,
-        })
+        Ok(sol.alpha)
     }
 
     /// Fits many series measured on the same protocol — the genome-wide
@@ -908,65 +907,30 @@ impl Deconvolver {
         })
     }
 
-    /// The deterministic warm hint of a GCV fit: the unconstrained
-    /// spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the selected λ
-    /// (`None` for non-GCV selections, whose workspaces hold no spectral
-    /// projection). The QP validates feasibility at solve time, so a
-    /// hint that violates positivity is simply ignored.
-    fn spectral_warm_hint(
+    /// GCV λ selection on the spectral path ([`select_gcv`], every score
+    /// a diagonal shrinkage), plus the fit's deterministic warm hint: the
+    /// unconstrained spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the
+    /// selected λ. The hint is a pure function of (engine, data, λ) —
+    /// never of workspace history — so batch results stay order- and
+    /// thread-invariant; the QP ignores it whenever it is infeasible.
+    #[allow(clippy::type_complexity)]
+    fn spectral_gcv(
         &self,
         workspace: &mut FitWorkspace,
-        unit: bool,
-        lambda: f64,
-    ) -> Result<Option<Vector>> {
-        if !matches!(self.config.lambda(), LambdaSelection::Gcv { .. }) {
-            return Ok(None);
-        }
-        if self.equality.is_none() && self.positivity.is_none() {
-            return Ok(None); // direct SPD solve path: no QP to warm.
-        }
-        let path: &SpectralPath = if unit {
-            self.spectral_unit
-                .as_ref()
-                .expect("GCV engines build the unit-weight decomposition")
-        } else {
-            workspace.spectral.as_ref().expect("built by gcv_lambda")
-        };
-        let FitWorkspace { zproj, d, beta, .. } = workspace;
-        path.reduced_solution(zproj, lambda, d, beta)?;
-        let ops = self
-            .ops
-            .as_ref()
-            .expect("dense GCV engines build the reduction");
-        let alpha = match &ops.z {
-            Some(z) => z.matvec(beta)?,
-            None => beta.clone(),
-        };
-        Ok(Some(alpha))
-    }
-
-    /// GCV λ selection on the spectral path: grid scan plus
-    /// golden-section refinement, every score a diagonal shrinkage.
-    fn gcv_lambda(
-        &self,
-        workspace: &mut FitWorkspace,
+        ops: &ReducedOperators,
+        unit_path: &SpectralPath,
         g: &[f64],
         unit: bool,
         cancel: Option<&CancelToken>,
-    ) -> Result<(f64, Vec<(f64, f64)>)> {
-        let ops = self
-            .ops
-            .as_ref()
-            .expect("dense GCV engines build the reduction");
-        if !unit {
-            workspace.spectral = Some(SpectralPath::new(
-                ops,
-                &workspace.weights,
-                self.ridge_eff(),
-            )?);
-        }
+    ) -> Result<(f64, Vec<(f64, f64)>, Option<Vector>)> {
+        let weighted_path;
+        let path = if unit {
+            unit_path
+        } else {
+            weighted_path = SpectralPath::new(ops, &workspace.weights, self.ridge_eff())?;
+            &weighted_path
+        };
         let FitWorkspace {
-            spectral,
             weights,
             w2g,
             rhs_r,
@@ -977,61 +941,19 @@ impl Deconvolver {
             ..
         } = workspace;
         let weights: &[f64] = if unit { &self.unit_weights } else { weights };
-        let path: &SpectralPath = if unit {
-            self.spectral_unit
-                .as_ref()
-                .expect("GCV engines build the unit-weight decomposition")
-        } else {
-            spectral.as_ref().expect("built above")
-        };
         path.project_series(ops, weights, g, w2g, rhs_r, zproj)?;
-
-        let mut scores = Vec::with_capacity(self.lambda_grid.len() + 1);
-        for &l in &self.lambda_grid {
-            check_cancel(cancel)?;
-            scores.push((l, path.gcv_score(ops, weights, g, zproj, l, d, beta, u)?));
+        let (lambda, scores) = select_gcv(&self.lambda_grid, cancel, |l| {
+            path.gcv_score(ops, weights, g, zproj, l, d, beta, u)
+        })?;
+        if self.equality.is_none() && self.positivity.is_none() {
+            return Ok((lambda, scores, None)); // direct SPD solve: no QP to warm.
         }
-        // GCV is known to undersmooth: when the basis is rich
-        // relative to the measurement count the score can dip
-        // spuriously at the λ → 0 boundary while the genuine
-        // minimum sits in the interior. Standard mitigation: take
-        // the LARGEST λ whose score is within 5 % of the minimum
-        // (prefer the most parsimonious fit among near-ties).
-        let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-        let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
-        let (best_idx, best) = scores
-            .iter()
-            .cloned()
-            .enumerate()
-            .rfind(|(_, (_, s))| *s <= threshold)
-            .expect("the minimizer itself passes the threshold");
-        // Golden-section refinement in log₁₀λ between the grid
-        // neighbours of the coarse minimizer (interior minima
-        // only; boundary minima keep the grid value).
-        let refined = if best_idx > 0 && best_idx + 1 < scores.len() {
-            let lo = scores[best_idx - 1].0.log10();
-            let hi = scores[best_idx + 1].0.log10();
-            match cellsync_opt::golden_section(
-                |log_l| {
-                    path.gcv_score(ops, weights, g, zproj, 10f64.powf(log_l), d, beta, u)
-                        .unwrap_or(f64::INFINITY)
-                },
-                lo,
-                hi,
-                1e-3,
-                60,
-            ) {
-                Ok((log_l, score)) if score <= best.1 => {
-                    let l = 10f64.powf(log_l);
-                    scores.push((l, score));
-                    l
-                }
-                _ => best.0,
-            }
-        } else {
-            best.0
+        path.reduced_solution(zproj, lambda, d, beta)?;
+        let hint = match &ops.z {
+            Some(z) => z.matvec(beta)?,
+            None => beta.clone(),
         };
-        Ok((refined, scores))
+        Ok((lambda, scores, Some(hint)))
     }
 
     /// K-fold cross-validated λ selection: refit (with the full
@@ -1219,9 +1141,12 @@ impl Deconvolver {
         if let Some((p, rhs)) = &self.positivity {
             // Banded engines hand the QP the sparse-row collocation block
             // (≤ 4 nnz per row) instead of the dense copy.
-            problem = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
-                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, srhs)?,
-                None => problem.with_inequalities(p, rhs)?,
+            problem = match &self.path {
+                EnginePath::Banded(BandedOperators {
+                    positivity: Some((sp, srhs)),
+                    ..
+                }) => problem.with_inequalities_sparse(sp, srhs)?,
+                _ => problem.with_inequalities(p, rhs)?,
             };
         }
         Ok(qp.solve(&problem)?.x)
@@ -2042,5 +1967,28 @@ mod tests {
         let without = d.fit_request(&FitRequest::new(g.clone())).unwrap();
         assert_eq!(with_token.result().alpha(), without.result().alpha());
         assert_eq!(with_token.result().lambda(), without.result().lambda());
+    }
+
+    #[test]
+    fn banded_engine_keeps_a_fixed_lambda_without_a_scan() {
+        // Pins the `EnginePath::Banded` dispatch for `Fixed` λ at the
+        // basis size where the banded GCV scan cannot run.
+        let k = kernel(5, 13);
+        let g = ForwardModel::new(k.clone())
+            .predict(&smooth_truth())
+            .unwrap();
+        let config = DeconvolutionConfig::builder()
+            .basis_size(160)
+            .lambda(1e-3)
+            .strategy(SolveStrategy::Banded)
+            .build()
+            .unwrap();
+        let d = Deconvolver::new(k, config).unwrap();
+        assert!(matches!(d.path, EnginePath::Banded(_)));
+        for sigmas in [None, Some(vec![0.05; g.len()])] {
+            let fit = d.fit(&g, sigmas.as_deref()).unwrap();
+            assert_eq!(fit.lambda(), 1e-3);
+            assert!(fit.selection_scores().is_empty());
+        }
     }
 }

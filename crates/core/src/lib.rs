@@ -105,6 +105,7 @@ pub mod constraints;
 mod deconvolve;
 mod error;
 mod forward;
+mod gcv;
 pub mod mixture;
 pub mod paramfit;
 mod profile;

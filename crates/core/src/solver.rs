@@ -30,6 +30,7 @@
 use cellsync_linalg::{CholeskyDecomposition, GeneralizedSymmetricEigen, Matrix, Vector};
 use cellsync_opt::QpWorkspace;
 
+use crate::gcv::gcv_statistic;
 use crate::{DeconvError, Result};
 
 /// Weight-independent reduced operators, built once per engine.
@@ -215,13 +216,7 @@ impl SpectralPath {
     /// spectral decomposition — `O(r)` for the trace, one `O(r²)` basis
     /// rotation and one `O(m·r)` prediction for the residual; no
     /// factorization and no allocation (`d`/`beta`/`u` are caller
-    /// scratch).
-    ///
-    /// GCV is degenerate once the smoother saturates (`tr S → M` makes
-    /// both numerator and denominator vanish — guaranteed when the basis
-    /// is at least as large as the measurement count and λ → 0); λ values
-    /// whose effective degrees of freedom exceed 99 % of the data score
-    /// `+∞`, so the scan picks the best non-interpolating fit.
+    /// scratch). Saturated smoothers score `+∞` ([`gcv_statistic`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn gcv_score(
         &self,
@@ -242,10 +237,6 @@ impl SpectralPath {
             d[i] = zproj[i] * shrink;
             trace += self.eff[i] * shrink;
         }
-        let edf_ratio = trace / m;
-        if edf_ratio > 0.99 {
-            return Ok(f64::INFINITY);
-        }
         // Residual of the unconstrained-in-β smoother at this λ.
         self.t.matvec_into(d, beta)?;
         ops.a_r.matvec_into(beta, u)?;
@@ -254,8 +245,7 @@ impl SpectralPath {
             let resid = wi * (gi - ui);
             rss += resid * resid;
         }
-        let denom = 1.0 - edf_ratio;
-        Ok((rss / m) / (denom * denom))
+        Ok(gcv_statistic(rss, trace, m))
     }
 }
 
@@ -272,9 +262,6 @@ pub struct FitWorkspace {
     pub(crate) qp: QpWorkspace,
     /// Cholesky storage for the unconstrained solve path.
     pub(crate) chol: Option<CholeskyDecomposition>,
-    /// Per-fit spectral decomposition for weighted fits (unit-weight fits
-    /// use the engine's cached decomposition instead).
-    pub(crate) spectral: Option<SpectralPath>,
     /// Per-measurement weights `1/σ`.
     pub(crate) weights: Vec<f64>,
     /// `W²·g` (m).
