@@ -56,7 +56,10 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
             LinalgError::ConvergenceFailed { iterations } => {
-                write!(f, "iteration failed to converge after {iterations} sweeps")
+                write!(
+                    f,
+                    "iteration failed to converge after {iterations} iterations"
+                )
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }

@@ -38,6 +38,8 @@ pub struct GeneralizedSymmetricEigen {
     values: Vector,
     /// Columns `tᵢ`: B-orthonormal eigenvectors (`TᵀBT = I`).
     vectors: Matrix,
+    /// QL iterations of the reduced symmetric eigenproblem.
+    iterations: usize,
 }
 
 impl GeneralizedSymmetricEigen {
@@ -50,8 +52,8 @@ impl GeneralizedSymmetricEigen {
     /// * [`LinalgError::InvalidArgument`] for non-finite or asymmetric
     ///   input.
     /// * [`LinalgError::NotPositiveDefinite`] when `b` is not SPD.
-    /// * [`LinalgError::ConvergenceFailed`] from the Jacobi sweep (not
-    ///   observed in practice).
+    /// * [`LinalgError::ConvergenceFailed`] from the symmetric
+    ///   eigensolver's QL iteration (not observed in practice).
     pub fn new(a: &Matrix, b: &Matrix) -> Result<Self> {
         if a.shape() != b.shape() {
             return Err(LinalgError::ShapeMismatch {
@@ -69,51 +71,25 @@ impl GeneralizedSymmetricEigen {
                 "pencil matrix A must be symmetric",
             ));
         }
-        let n = a.rows();
         let chol = b.cholesky()?;
         let l = chol.factor();
 
-        // C = L⁻¹·A: forward-substitute every column of A.
-        let mut c = Matrix::zeros(n, n);
-        for j in 0..n {
-            for i in 0..n {
-                let mut sum = a[(i, j)];
-                for k in 0..i {
-                    sum -= l[(i, k)] * c[(k, j)];
-                }
-                c[(i, j)] = sum / l[(i, i)];
-            }
-        }
-        // M = C·L⁻ᵀ, computed as Mᵀ = L⁻¹·Cᵀ and written transposed:
-        // forward-substitute every column of Cᵀ (i.e. every row of C).
-        let mut m = Matrix::zeros(n, n);
-        for j in 0..n {
-            for i in 0..n {
-                let mut sum = c[(j, i)];
-                for k in 0..i {
-                    sum -= l[(i, k)] * m[(j, k)];
-                }
-                m[(j, i)] = sum / l[(i, i)];
-            }
-        }
+        // M = L⁻¹·A·L⁻ᵀ, formed transposed as L⁻¹·(L⁻¹·A)ᵀ = Mᵀ; the
+        // symmetrization averages the two triangles either way.
+        let mut c = a.clone();
+        forward_substitute_rows(l, &mut c);
+        let mut m = c.transpose();
+        forward_substitute_rows(l, &mut m);
         m.symmetrize()?;
         let eig = m.symmetric_eigen()?;
 
-        // T = L⁻ᵀ·U: back-substitute every column of U.
-        let u = eig.eigenvectors();
-        let mut t = Matrix::zeros(n, n);
-        for j in 0..n {
-            for i in (0..n).rev() {
-                let mut sum = u[(i, j)];
-                for k in (i + 1)..n {
-                    sum -= l[(k, i)] * t[(k, j)];
-                }
-                t[(i, j)] = sum / l[(i, i)];
-            }
-        }
+        // T = L⁻ᵀ·U.
+        let mut t = eig.eigenvectors().clone();
+        back_substitute_rows(l, &mut t);
         Ok(GeneralizedSymmetricEigen {
             values: eig.eigenvalues().clone(),
             vectors: t,
+            iterations: eig.iterations(),
         })
     }
 
@@ -132,6 +108,54 @@ impl GeneralizedSymmetricEigen {
     /// Dimension of the pencil.
     pub fn dim(&self) -> usize {
         self.values.len()
+    }
+
+    /// QL iterations the reduced symmetric eigenproblem took (see
+    /// [`crate::SymmetricEigen::iterations`]).
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+}
+
+/// Overwrites `x` with `L⁻¹·x` for lower-triangular `L`, by forward
+/// substitution on whole rows: `rowᵢ ← (rowᵢ − Σ_{k<i} lᵢₖ·rowₖ) / lᵢᵢ`.
+fn forward_substitute_rows(l: &Matrix, x: &mut Matrix) {
+    let n = x.cols();
+    let data = x.as_mut_slice();
+    for i in 0..l.rows() {
+        let (done, rest) = data.split_at_mut(i * n);
+        let row = &mut rest[..n];
+        for (k, source) in done.chunks_exact(n).enumerate() {
+            let f = l[(i, k)];
+            for (t, &s) in row.iter_mut().zip(source) {
+                *t -= f * s;
+            }
+        }
+        let d = l[(i, i)];
+        for t in row {
+            *t /= d;
+        }
+    }
+}
+
+/// Overwrites `x` with `L⁻ᵀ·x` for lower-triangular `L`, by back
+/// substitution on whole rows: `rowᵢ ← (rowᵢ − Σ_{k>i} lₖᵢ·rowₖ) / lᵢᵢ`.
+fn back_substitute_rows(l: &Matrix, x: &mut Matrix) {
+    let n = x.cols();
+    let data = x.as_mut_slice();
+    for i in (0..l.rows()).rev() {
+        let (head, done) = data.split_at_mut((i + 1) * n);
+        let row = &mut head[i * n..];
+        for (k, source) in done.chunks_exact(n).enumerate() {
+            let f = l[(i + 1 + k, i)];
+            for (t, &s) in row.iter_mut().zip(source) {
+                *t -= f * s;
+            }
+        }
+        let d = l[(i, i)];
+        for t in row {
+            *t /= d;
+        }
     }
 }
 
@@ -212,6 +236,55 @@ mod tests {
             assert!(w[0] <= w[1]);
         }
         assert_eq!(pencil.dim(), 6);
+    }
+
+    #[test]
+    fn spectral_path_pencil_ql_work_is_bounded() {
+        // A seeded `SpectralPath`-shaped pencil: the second-difference
+        // penalty `Ω = DᵀD` (nullity 2) against `B = AᵀW²A + εI + μΩ` for
+        // a 16×18 design with local, smooth support and weights in
+        // [0.5, 2), anchored at `μ = tr(AᵀW²A + εI)/tr(Ω)`.
+        let mut state: u64 = 7;
+        let mut uniform = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (m, n) = (16, 18);
+        let design = Matrix::from_fn(m, n, |i, k| {
+            let centre = (i as f64 + 0.5) * n as f64 / m as f64;
+            let u = (k as f64 - centre) / 3.0;
+            (-u * u).exp() * (0.5 + uniform())
+        });
+        let weights: Vec<f64> = (0..m).map(|_| 0.5 + 1.5 * uniform()).collect();
+        let d = Matrix::from_fn(n - 2, n, |i, k| match k.wrapping_sub(i) {
+            0 | 2 => 1.0,
+            1 => -2.0,
+            _ => 0.0,
+        });
+        let omega = d.gram();
+        let mut b = Matrix::zeros(n, n);
+        design.weighted_gram_into(&weights, &mut b).unwrap();
+        for i in 0..n {
+            b[(i, i)] += 1e-9;
+        }
+        let mu = b.trace().unwrap() / omega.trace().unwrap();
+        let b = &b + &omega.scaled(mu);
+
+        // A deterministic work count: implicit-shift QL takes one or two
+        // iterations per eigenvalue on these pencils (29 here; at most 27
+        // over 6000 pencils of 2000-gene genome batches at n = 18), so 2n
+        // leaves headroom yet fails once that convergence rate is lost.
+        let pencil = GeneralizedSymmetricEigen::new(&omega, &b).unwrap();
+        assert!(pencil.iterations() > 0);
+        assert!(
+            pencil.iterations() <= 2 * n,
+            "{} QL iterations for n = {n}",
+            pencil.iterations()
+        );
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * [`CholeskyDecomposition`] — for symmetric positive definite systems.
 //! * [`QrDecomposition`] — Householder QR: least squares, orthonormal bases,
 //!   null spaces (used by the null-space active-set QP in `cellsync-opt`).
-//! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition of symmetric
-//!   matrices (used for influence traces and diagnostics).
+//! * [`SymmetricEigen`] — eigendecomposition of symmetric matrices by
+//!   Householder tridiagonalization and implicit-shift QL (used for the
+//!   per-gene GCV pencils, penalty checks and QP diagnostics).
 //! * [`GeneralizedSymmetricEigen`] — simultaneous diagonalization of a
 //!   symmetric-definite pencil `(A, B)`; the factor-once basis behind the
 //!   λ-path GCV sweep in `cellsync`.

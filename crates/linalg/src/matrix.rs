@@ -713,7 +713,8 @@ impl Matrix {
         QrDecomposition::new(self)
     }
 
-    /// Jacobi eigendecomposition of a symmetric matrix.
+    /// Eigendecomposition of a symmetric matrix (Householder
+    /// tridiagonalization + implicit-shift QL, see [`SymmetricEigen`]).
     ///
     /// # Errors
     ///

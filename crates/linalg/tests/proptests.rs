@@ -4,7 +4,9 @@
 //! factorization residuals, orthogonality, and solver consistency across
 //! independent code paths (LU vs Cholesky vs QR).
 
-use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{
+    BandedMatrix, GeneralizedSymmetricEigen, Matrix, SparseRowMatrix, SymmetricEigen, Vector,
+};
 use proptest::prelude::*;
 
 /// Strategy: a square matrix with entries in [-10, 10].
@@ -75,6 +77,131 @@ fn local_support_design() -> impl Strategy<Value = (Matrix, Vec<f64>, usize)> {
             }
             (a, weights, b)
         })
+}
+
+/// Strategy: a symmetric, generally indefinite matrix of size 1..=24 with
+/// entries in [-10, 10].
+fn indefinite_symmetric() -> impl Strategy<Value = Matrix> {
+    (1usize..=24)
+        .prop_flat_map(|n| (Just(n), prop::collection::vec(-10.0..10.0f64, n * n)))
+        .prop_map(|(n, data)| {
+            let mut a = Matrix::from_vec(n, n, data).expect("sized data");
+            a.symmetrize().expect("square");
+            a
+        })
+}
+
+/// Strategy: `Q·diag(λ)·Qᵀ` of size 1..=24 whose eigenvalues are drawn
+/// from three values, so any size above 3 forces a repeated eigenvalue;
+/// `Q` is the orthogonal factor of a random square matrix. Returns the
+/// matrix and its sorted spectrum.
+fn repeated_spectrum() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
+    (1usize..=24)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(-10.0..10.0f64, n * n),
+                prop::collection::vec(0usize..3, n),
+            )
+        })
+        .prop_map(|(data, picks)| {
+            let n = picks.len();
+            let q = Matrix::from_vec(n, n, data)
+                .expect("sized data")
+                .qr()
+                .expect("qr")
+                .q()
+                .clone();
+            let mut spectrum: Vec<f64> = picks.iter().map(|&k| [-3.0, 0.5, 2.0][k]).collect();
+            let d = Matrix::from_diagonal(&Vector::from_slice(&spectrum));
+            let mut a = q
+                .matmul(&d)
+                .expect("shapes")
+                .matmul(&q.transpose())
+                .expect("shapes");
+            a.symmetrize().expect("square");
+            spectrum.sort_by(f64::total_cmp);
+            (a, spectrum)
+        })
+}
+
+/// Strategy: the weighted second-difference penalty `DᵀWD` of size
+/// 3..=24 (nullity 2: constants and linears), weights in [0.5, 2].
+fn second_difference_penalty() -> impl Strategy<Value = Matrix> {
+    (3usize..=24)
+        .prop_flat_map(|n| prop::collection::vec(0.5..2.0f64, n - 2))
+        .prop_map(|weights| {
+            let n = weights.len() + 2;
+            let d = Matrix::from_fn(n - 2, n, |i, k| match k.wrapping_sub(i) {
+                0 | 2 => 1.0,
+                1 => -2.0,
+                _ => 0.0,
+            });
+            let mut a = Matrix::zeros(n, n);
+            d.weighted_gram_into(
+                &weights.iter().map(|w| w.sqrt()).collect::<Vec<_>>(),
+                &mut a,
+            )
+            .expect("shapes");
+            a
+        })
+}
+
+/// Strategy: a `SpectralPath`-shaped pencil — penalty `Ω = DᵀD` and metric
+/// `B = AᵀW²A + εI + μΩ` for a 16×18 design with entries in [0, 1),
+/// weights in [0.5, 2), ε = 1e-9 and `μ = tr(AᵀW²A + εI)/tr(Ω)`.
+fn spectral_path_pencil() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (
+        prop::collection::vec(0.0..1.0f64, 16 * 18),
+        prop::collection::vec(0.5..2.0f64, 16),
+    )
+        .prop_map(|(data, weights)| {
+            let design = Matrix::from_vec(16, 18, data).expect("sized data");
+            let d = Matrix::from_fn(16, 18, |i, k| match k.wrapping_sub(i) {
+                0 | 2 => 1.0,
+                1 => -2.0,
+                _ => 0.0,
+            });
+            let omega = d.gram();
+            let mut g = Matrix::zeros(18, 18);
+            design.weighted_gram_into(&weights, &mut g).expect("shapes");
+            for i in 0..18 {
+                g[(i, i)] += 1e-9;
+            }
+            let mu = g.trace().expect("square") / omega.trace().expect("square");
+            (omega.clone(), &g + &omega.scaled(mu))
+        })
+}
+
+/// Checks `V·diag(λ)·Vᵀ = A` to 1e-10·(1 + ‖A‖_F), `VᵀV = I` to 1e-12·n,
+/// and ascending eigenvalues.
+fn check_eigen(a: &Matrix, eig: &SymmetricEigen) -> Result<(), TestCaseError> {
+    let n = a.rows();
+    let v = eig.eigenvectors();
+    let d = Matrix::from_diagonal(eig.eigenvalues());
+    let recon = v
+        .matmul(&d)
+        .expect("shapes")
+        .matmul(&v.transpose())
+        .expect("shapes");
+    let err = (&recon - a).norm_frobenius();
+    prop_assert!(
+        err <= 1e-10 * (1.0 + a.norm_frobenius()),
+        "n = {}: reconstruction error {}",
+        n,
+        err
+    );
+    let vtv = v.transpose().matmul(v).expect("shapes");
+    let err = (&vtv - &Matrix::identity(n)).norm_frobenius();
+    prop_assert!(
+        err <= 1e-12 * n as f64,
+        "n = {}: orthogonality error {}",
+        n,
+        err
+    );
+    for w in eig.eigenvalues().as_slice().windows(2) {
+        prop_assert!(w[0] <= w[1], "n = {}: eigenvalues out of order {:?}", n, w);
+    }
+    Ok(())
 }
 
 /// Makes an SPD matrix from an arbitrary square one: `AᵀA + n·I`.
@@ -342,5 +469,51 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn eigen_decomposes_indefinite(a in indefinite_symmetric()) {
+        let eig = a.symmetric_eigen().expect("symmetric");
+        check_eigen(&a, &eig)?;
+    }
+
+    #[test]
+    fn eigen_resolves_repeated_eigenvalues((a, spectrum) in repeated_spectrum()) {
+        let eig = a.symmetric_eigen().expect("symmetric");
+        check_eigen(&a, &eig)?;
+        for (got, want) in eig.eigenvalues().iter().zip(&spectrum) {
+            prop_assert!((got - want).abs() <= 1e-10 * (1.0 + a.norm_frobenius()), "{} vs {}", got, want);
+        }
+    }
+
+    #[test]
+    fn eigen_finds_second_difference_null_space(a in second_difference_penalty()) {
+        let eig = a.symmetric_eigen().expect("symmetric");
+        check_eigen(&a, &eig)?;
+        // Exactly two eigenvalues vanish (constants and linears).
+        let null_tol = 1e-10 * (1.0 + a.norm_frobenius());
+        let evs = eig.eigenvalues();
+        prop_assert!(evs[0].abs() <= null_tol && evs[1].abs() <= null_tol, "{}", evs);
+        if a.rows() > 2 {
+            prop_assert!(evs[2] > 1e3 * null_tol, "{}", evs);
+        }
+    }
+
+    #[test]
+    fn generalized_eigen_diagonalizes_spectral_path_pencil((omega, b) in spectral_path_pencil()) {
+        let pencil = GeneralizedSymmetricEigen::new(&omega, &b).expect("SPD metric");
+        let t = pencil.vectors();
+        let tbt = t.transpose().matmul(&b).expect("shapes").matmul(t).expect("shapes");
+        let err = (&tbt - &Matrix::identity(18)).norm_frobenius();
+        prop_assert!(err <= 1e-10, "TᵀBT error {}", err);
+        let tat = t.transpose().matmul(&omega).expect("shapes").matmul(t).expect("shapes");
+        let diag = Matrix::from_diagonal(pencil.eigenvalues());
+        let err = (&tat - &diag).norm_frobenius();
+        prop_assert!(err <= 1e-10 * (1.0 + diag.norm_frobenius()), "TᵀAT error {}", err);
+        prop_assert!(pencil.eigenvalues()[0] > -1e-12, "γ {}", pencil.eigenvalues());
     }
 }
